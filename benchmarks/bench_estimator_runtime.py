@@ -15,6 +15,11 @@ trajectory is tracked across PRs::
     PYTHONPATH=src python benchmarks/bench_estimator_runtime.py [--quick]
 
 ``--quick`` shrinks the Monte-Carlo settings and repeat counts for CI.
+
+The ``bucket-c<N>`` cells time dynamic bucketing on synthetic samples with
+``N`` unique entities (lognormal values, geometric observation counts):
+the split scan's cost in ``c``, beyond the paper's c = 321.  Quick mode
+runs ``N = 1000`` only.
 """
 
 from __future__ import annotations
@@ -26,11 +31,14 @@ import platform
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.api.specs import build_estimator
 from repro.core.bucket import BucketEstimator
 from repro.core.frequency import FrequencyEstimator
 from repro.core.montecarlo import MonteCarloConfig, MonteCarloEstimator
 from repro.core.naive import NaiveEstimator
+from repro.data.sample import ObservedSample
 from repro.datasets import load_dataset
 
 #: Paper-scale Monte-Carlo settings (Algorithm 2/3 defaults).
@@ -39,6 +47,30 @@ PAPER_MC = {"n_runs": 5, "n_count_steps": 10}
 QUICK_MC = {"n_runs": 2, "n_count_steps": 5}
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_estimator_runtime.json"
+
+#: Unique-entity counts of the synthetic dynamic-bucketing cells.
+BUCKET_SCALES = (1000, 10_000)
+QUICK_BUCKET_SCALES = (1000,)
+
+
+def synthetic_sample(c: int, seed: int = 0) -> ObservedSample:
+    """``c`` entities with lognormal values and geometric observation counts."""
+    rng = np.random.default_rng(seed)
+    entries = zip(rng.lognormal(8.0, 2.0, c), rng.geometric(0.6, c))
+    return ObservedSample.from_entity_values(
+        [(f"e{i}", float(v), int(k)) for i, (v, k) in enumerate(entries)],
+        attribute="value",
+    )
+
+
+def _best_of(repeats: int, estimator, sample, attribute: str):
+    """Fastest of ``repeats`` runs and the (deterministic) estimate."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        estimate = estimator.estimate(sample, attribute)
+        best = min(best, time.perf_counter() - start)
+    return best, estimate
 
 
 def _paper_scale_estimators(mc_settings: dict) -> dict:
@@ -130,12 +162,14 @@ def run_suite(quick: bool = False) -> dict:
     timings: dict[str, float] = {}
     estimates: dict[str, float] = {}
     for name, estimator in _paper_scale_estimators(mc_settings).items():
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            estimate = estimator.estimate(sample, attribute)
-            best = min(best, time.perf_counter() - start)
-        timings[name] = best
+        timings[name], estimate = _best_of(repeats, estimator, sample, attribute)
+        estimates[name] = float(estimate.corrected)
+    bucket_scales = QUICK_BUCKET_SCALES if quick else BUCKET_SCALES
+    for c in bucket_scales:
+        name = f"bucket-c{c}"
+        timings[name], estimate = _best_of(
+            repeats, build_estimator("bucket"), synthetic_sample(c), "value"
+        )
         estimates[name] = float(estimate.corrected)
 
     speedup = timings["monte-carlo-loop"] / timings["monte-carlo-vectorized"]
@@ -149,6 +183,7 @@ def run_suite(quick: bool = False) -> dict:
             "mc_settings": mc_settings,
             "repeats": repeats,
             "mode": "quick" if quick else "paper-scale",
+            "bucket_synthetic_unique": list(bucket_scales),
         },
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         "corrected_estimates": estimates,

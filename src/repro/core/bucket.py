@@ -25,11 +25,16 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import compress
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.core.estimator import Estimate, SumEstimator
-from repro.core.incremental import SampleDelta
+from repro.core.fstatistics import coverage_estimate, cv_squared_estimate
+from repro.core.incremental import IncrementalSampleState, SampleDelta
 from repro.core.naive import NaiveEstimator
 from repro.data.sample import ObservedSample
 from repro.utils.exceptions import EstimationError, ValidationError
@@ -109,11 +114,6 @@ class BucketingStrategy(ABC):
             return Bucket(low=low, high=high, sample=None, estimate=None)
         estimate = base.estimate(bucket_sample, attribute)
         return Bucket(low=low, high=high, sample=bucket_sample, estimate=estimate)
-
-    @staticmethod
-    def _sorted_unique_values(sample: ObservedSample, attribute: str) -> list[float]:
-        """Sorted distinct attribute values present in the sample."""
-        return sorted(set(float(v) for v in sample.values(attribute)))
 
 
 class EquiWidthBucketing(BucketingStrategy):
@@ -201,6 +201,10 @@ class DynamicBucketing(BucketingStrategy):
     diverges (all singletons) have an infinite objective and therefore never
     result from a chosen split unless they were already unavoidable.
 
+    Naive and frequency bases (``_formula``) score all splits of a bucket
+    at once from prefix statistics, then exactly only those rounding cannot
+    rule out (:func:`_contenders`); other bases score every split exactly.
+
     Parameters
     ----------
     max_depth:
@@ -241,7 +245,9 @@ class DynamicBucketing(BucketingStrategy):
                 delta_rest = 0.0
                 delta_min = bucket.abs_delta
             best_pair: tuple[Bucket, Bucket] | None = None
-            for left, right in self._candidate_splits(bucket, attribute, base):
+            for left, right in self._candidate_splits(
+                bucket, attribute, base, delta_rest, delta_min
+            ):
                 candidate_total = delta_rest + left.abs_delta + right.abs_delta
                 if candidate_total < delta_min:
                     delta_min = candidate_total
@@ -254,118 +260,105 @@ class DynamicBucketing(BucketingStrategy):
         return sorted(final, key=lambda b: b.low)
 
     def _candidate_splits(
-        self, bucket: Bucket, attribute: str, base: SumEstimator
+        self,
+        bucket: Bucket,
+        attribute: str,
+        base: SumEstimator,
+        delta_rest: float,
+        delta_min: float,
     ) -> list[tuple[Bucket, Bucket]]:
-        """All two-way splits of ``bucket`` at distinct value boundaries."""
+        """The splits of ``bucket`` that may win, by ascending value, scored exactly.
+
+        The split at a distinct value ``v`` (any but the largest) sends the
+        entities with value ``<= v`` left; each side keeps insertion order.
+        """
         assert bucket.sample is not None
         sample = bucket.sample
-        unique_values = self._sorted_unique_values(sample, attribute)
-        pairs: list[tuple[Bucket, Bucket]] = []
-        # Splitting after the largest value would leave the right side empty.
-        for split_value in unique_values[:-1]:
-            left_ids = [
-                eid
-                for eid in sample.entity_ids
-                if sample.value(eid, attribute) <= split_value
-            ]
-            right_ids = [
-                eid
-                for eid in sample.entity_ids
-                if sample.value(eid, attribute) > split_value
-            ]
-            left_sample = sample.restrict_to_entities(left_ids)
-            right_sample = sample.restrict_to_entities(right_ids)
-            if left_sample is None or right_sample is None:
-                continue
-            left = self._estimate_bucket(
-                left_sample, bucket.low, split_value, attribute, base
+        values = sample.values(attribute)
+        # Stable, so a tie group's first entity is the one a set of the
+        # values keeps: it fixes the sign of a zero boundary.
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        split_values = ordered[np.concatenate(([0], cuts[:-1]))].tolist()
+        chosen: Iterable[int] = range(cuts.size)
+        formula = getattr(base, "_formula", None)
+        if formula is not None and cuts.size:
+            counts = np.fromiter(sample.counts.values(), dtype=np.int64)[order]
+            chosen = _contenders(formula, counts, ordered, cuts, delta_rest, delta_min)
+        entity_ids = sample.entity_ids
+        pairs = []
+        for index in chosen:
+            split = split_values[index]
+            left = values <= split
+            left_sample = sample.restrict_to_entities(compress(entity_ids, left))
+            right_sample = sample.restrict_to_entities(compress(entity_ids, ~left))
+            pairs.append(
+                (
+                    self._estimate_bucket(left_sample, bucket.low, split, attribute, base),
+                    self._estimate_bucket(right_sample, split, bucket.high, attribute, base),
+                )
             )
-            right = self._estimate_bucket(
-                right_sample, split_value, bucket.high, attribute, base
-            )
-            pairs.append((left, right))
         return pairs
 
 
-class _MemoizedEstimator(SumEstimator):
-    """Whole-bucket memoization wrapper used by the incremental handle.
+class _SplitStatistics(NamedTuple):
+    """:class:`FrequencyStatistics` of one side of every split, as arrays."""
 
-    The bucket estimator's incremental path rebuilds the bucket
-    decomposition on every update, but most buckets do not change
-    between updates: their restriction of the sample has identical
-    counts, values and order (restrictions preserve the parent's
-    insertion order).  Wrapping the (deterministic, closed-form) base
-    estimator with a memo keyed on the exact bucket content makes every
-    unchanged bucket -- including every candidate split the dynamic
-    strategy re-evaluates -- a dictionary hit returning the *same*
-    :class:`Estimate` object as the previous round.
+    n: np.ndarray
+    c: np.ndarray
+    singletons: np.ndarray
+    moment: np.ndarray  # Σ k(k−1) over the side's entities
+
+    def sample_coverage(self) -> np.ndarray:
+        return coverage_estimate(self.n, self.singletons)
+
+    def cv_squared(self) -> np.ndarray:
+        return cv_squared_estimate(self.n, self.c, self.singletons, self.moment)
+
+
+def _leading_statistics(counts: np.ndarray, values: np.ndarray, lengths: np.ndarray):
+    """Statistics, value sums and singleton sums of the first ``lengths[i]`` entities."""
+    at = lengths - 1
+    single = counts == 1
+    stats = _SplitStatistics(
+        n=np.cumsum(counts)[at],
+        c=lengths,
+        singletons=np.cumsum(single)[at],
+        moment=np.cumsum(counts * (counts - 1))[at],
+    )
+    return stats, np.cumsum(values)[at], np.cumsum(np.where(single, values, 0.0))[at]
+
+
+def _contenders(formula, counts, values, cuts, delta_rest, delta_min) -> np.ndarray:
+    """Indices of the splits whose exact total may be Algorithm 1's pick.
+
+    ``counts`` and ``values`` are the bucket's ``m`` entities sorted by value;
+    split ``i`` sends the first ``cuts[i]`` left.  The integer statistics of
+    each side are exact.  Its two sums are taken in value order here but in
+    insertion order by the exact path; any two float64 summations of a subset
+    differ by at most ``2·γ_m·Σ|value| < slack``.  ``Δ̂`` is monotone in the
+    sum and float addition is monotone, so the formula at ``sum ∓ slack``
+    brackets every exact total.  A split may win only if its lower bound is
+    below ``delta_min`` (the no-split comparison) and at most the smallest
+    upper bound; a NaN bound excludes nothing.
     """
-
-    _MAX_ENTRIES = 8192
-
-    def __init__(self, base: SumEstimator) -> None:
-        self.base = base
-        self.name = base.name
-        self._memo: "dict[tuple, Estimate]" = {}
-
-    def estimate(self, sample: ObservedSample, attribute: str) -> Estimate:
-        memo = self._memo
-        key = (
-            attribute,
-            tuple(sample.counts.items()),
-            sample.values(attribute).tobytes(),
-            sample.source_sizes,
-        )
-        cached = memo.get(key)
-        if cached is None:
-            cached = self.base.estimate(sample, attribute)
-            if len(memo) >= self._MAX_ENTRIES:
-                memo.pop(next(iter(memo)))
-            memo[key] = cached
-        return cached
-
-
-class _BucketHandle:
-    """Incremental handle of :class:`BucketEstimator`.
-
-    Maintains the raw sample content (counts / fused values / source
-    sizes) under deltas and carries the memoized base estimators whose
-    caches persist across updates -- that persistence is what makes an
-    update cheap when most buckets are untouched.
-    """
-
-    __slots__ = ("attribute", "counts", "values", "source_sizes", "base", "search_base")
-
-    def __init__(
-        self,
-        sample: ObservedSample,
-        attribute: str,
-        base: SumEstimator,
-        search_base: "SumEstimator | None",
-    ) -> None:
-        self.attribute = attribute
-        self.counts: dict[str, int] = dict(sample.counts)
-        self.values = sample.values_by_entity()
-        self.source_sizes = tuple(sample.source_sizes)
-        self.base = _MemoizedEstimator(base)
-        if search_base is None:
-            self.search_base: "SumEstimator | None" = None
-        elif search_base is base:
-            # Preserve the identity relation buckets() keys off.
-            self.search_base = self.base
-        else:
-            self.search_base = _MemoizedEstimator(search_base)
-
-    def apply(self, delta: SampleDelta) -> None:
-        for entity_id, value in delta.appended:
-            self.counts[entity_id] = 1
-            self.values[entity_id] = {self.attribute: value}
-        for entity_id in delta.reobserved:
-            self.counts[entity_id] += 1
-        self.source_sizes = tuple(delta.source_sizes)
-
-    def sample(self) -> ObservedSample:
-        return ObservedSample(self.counts, self.values, source_sizes=self.source_sizes)
+    m = values.size
+    slack = 2.0 * m * np.finfo(np.float64).eps * float(np.abs(values).sum())
+    lows = highs = delta_rest
+    for stats, sums, singleton_sums in (
+        _leading_statistics(counts, values, cuts),
+        _leading_statistics(counts[::-1], values[::-1], m - cuts),
+    ):
+        with np.errstate(all="ignore"):  # overflow only widens a bound
+            below = formula(stats, sums - slack, singleton_sums - slack)[0]
+            above = formula(stats, sums + slack, singleton_sums + slack)[0]
+        low, high = np.minimum(below, above), np.maximum(below, above)
+        straddles = (low <= 0) & (high >= 0)
+        lows = lows + np.where(straddles, 0.0, np.minimum(np.abs(low), np.abs(high)))
+        highs = highs + np.maximum(np.abs(low), np.abs(high))
+    best = np.min(np.where(np.isnan(highs), np.inf, highs))
+    return np.flatnonzero(~(lows > best) & ~(lows >= delta_min))
 
 
 class BucketEstimator(SumEstimator):
@@ -381,7 +374,7 @@ class BucketEstimator(SumEstimator):
         alternative (Appendix D).
     search_base:
         Optional cheaper estimator used only while *searching* for bucket
-        boundaries (the dynamic strategy evaluates every candidate split).
+        boundaries (the dynamic strategy scores every candidate split).
         When set, the final buckets are re-estimated with ``base``.  This is
         how the Monte-Carlo + bucket combination of Appendix D stays
         tractable: boundaries are found with the naive estimator, values are
@@ -410,11 +403,10 @@ class BucketEstimator(SumEstimator):
     def supports_updates(self) -> bool:  # type: ignore[override]
         """True when every underlying estimator is itself update-capable.
 
-        The incremental path memoizes whole-bucket results, which is only
-        sound when the base estimators are deterministic pure functions
-        of the bucket content -- exactly the closed-form estimators that
-        set ``supports_updates`` themselves.  A Monte-Carlo base (fresh
-        ``runtime`` block per call) therefore disables the seam.
+        The incremental path recomputes the batch decomposition from the
+        maintained sample, so it is exact for any base; the seam is still
+        only offered over closed-form bases, which keeps a Monte-Carlo
+        bucket (fresh ``runtime`` block per call) a batch-only estimator.
         """
         return bool(self.base.supports_updates) and (
             self.search_base is None or bool(self.search_base.supports_updates)
@@ -422,38 +414,19 @@ class BucketEstimator(SumEstimator):
 
     def estimate(self, sample: ObservedSample, attribute: str) -> Estimate:
         """Estimate the unknown-unknowns impact on ``SUM(attribute)``."""
-        self._check_attribute(sample, attribute)
-        buckets = self._buckets_for(sample, attribute, self.base, self.search_base)
-        return self._summarize(sample, attribute, buckets)
+        return self._summarize(sample, attribute, self.buckets(sample, attribute))
 
     # ------------------------------------------------------------------ #
     # Incremental seam
     # ------------------------------------------------------------------ #
 
-    def begin(self, sample: ObservedSample, attribute: str) -> _BucketHandle:
-        """Open an incremental handle positioned at ``sample``."""
-        if not self.supports_updates:
-            raise EstimationError(
-                f"estimator {self.name!r} does not support incremental updates: "
-                "its base estimator is not update-capable"
-            )
-        self._check_attribute(sample, attribute)
-        return _BucketHandle(sample, attribute, self.base, self.search_base)
-
-    def update(self, handle: _BucketHandle, delta: "SampleDelta | None" = None) -> Estimate:
-        """Advance ``handle`` by ``delta`` and return the fresh estimate.
-
-        The bucket decomposition is rebuilt from the maintained sample
-        content, but every bucket (and candidate split) whose content is
-        unchanged hits the handle's memo instead of re-running the base
-        estimator -- the recomputation cost scales with how much of the
-        value range the delta actually touched.
-        """
+    def update(
+        self, handle: IncrementalSampleState, delta: "SampleDelta | None" = None
+    ) -> Estimate:
+        """Advance ``handle`` by ``delta``: the batch estimate of its sample."""
         if delta is not None:
             handle.apply(delta)
-        sample = handle.sample()
-        buckets = self._buckets_for(sample, handle.attribute, handle.base, handle.search_base)
-        return self._summarize(sample, handle.attribute, buckets)
+        return self.estimate(handle.sample(), handle.attribute)
 
     # ------------------------------------------------------------------ #
     # Shared decomposition + summary (batch and incremental paths)
@@ -488,15 +461,15 @@ class BucketEstimator(SumEstimator):
             details=details,
         )
 
-    def _buckets_for(
-        self,
-        sample: ObservedSample,
-        attribute: str,
-        base: SumEstimator,
-        search_base: "SumEstimator | None",
-    ) -> list[Bucket]:
-        search = search_base or base
-        buckets = self.strategy.build(sample, attribute, search)
+    def buckets(self, sample: ObservedSample, attribute: str) -> list[Bucket]:
+        """Return the buckets (with per-bucket estimates) for ``sample``.
+
+        Exposed separately because the AVG / MIN / MAX estimators of
+        Section 5 reuse the bucket decomposition directly.
+        """
+        self._check_attribute(sample, attribute)
+        base, search_base = self.base, self.search_base
+        buckets = self.strategy.build(sample, attribute, search_base or base)
         if not buckets:
             raise EstimationError("bucketing strategy produced no buckets")
         if search_base is not None and search_base is not base:
@@ -509,12 +482,3 @@ class BucketEstimator(SumEstimator):
                 for bucket in buckets
             ]
         return buckets
-
-    def buckets(self, sample: ObservedSample, attribute: str) -> list[Bucket]:
-        """Return the buckets (with per-bucket estimates) for ``sample``.
-
-        Exposed separately because the AVG / MIN / MAX estimators of
-        Section 5 reuse the bucket decomposition directly.
-        """
-        self._check_attribute(sample, attribute)
-        return self._buckets_for(sample, attribute, self.base, self.search_base)

@@ -22,6 +22,7 @@ from typing import Any
 import math
 
 from repro.core.fstatistics import FrequencyStatistics
+from repro.core.incremental import IncrementalSampleState
 from repro.data.sample import ObservedSample
 from repro.utils.exceptions import EstimationError
 from repro.utils.serialization import envelope, unwrap
@@ -177,9 +178,12 @@ class SumEstimator(ABC):
         digests committed since.  Estimators with
         ``supports_updates = False`` raise :class:`EstimationError`.
         """
-        raise EstimationError(
-            f"estimator {self.name!r} does not support incremental updates"
-        )
+        if not self.supports_updates:
+            raise EstimationError(
+                f"estimator {self.name!r} does not support incremental updates"
+            )
+        self._check_attribute(sample, attribute)
+        return IncrementalSampleState(sample, attribute)
 
     def update(self, handle: Any, delta: Any = None) -> Estimate:
         """Advance ``handle`` by ``delta`` and return the fresh estimate.

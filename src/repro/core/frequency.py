@@ -14,6 +14,8 @@ and therefore stop inflating the value estimate for the missing entities.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.estimator import Estimate, SumEstimator
 from repro.core.fstatistics import FrequencyStatistics
 from repro.core.incremental import IncrementalSampleState, SampleDelta
@@ -58,11 +60,6 @@ class FrequencyEstimator(SumEstimator):
     # Incremental seam
     # ------------------------------------------------------------------ #
 
-    def begin(self, sample: ObservedSample, attribute: str) -> IncrementalSampleState:
-        """Open an incremental handle positioned at ``sample``."""
-        self._check_attribute(sample, attribute)
-        return IncrementalSampleState(sample, attribute)
-
     def update(
         self, handle: IncrementalSampleState, delta: "SampleDelta | None" = None
     ) -> Estimate:
@@ -83,37 +80,39 @@ class FrequencyEstimator(SumEstimator):
         observed_sum: float,
         singleton_sum: float,
     ) -> Estimate:
-        n = stats.n
-        c = stats.c
-        f1 = stats.singletons
-        gamma_sq = 0.0 if self.assume_uniform else stats.cv_squared()
-
-        if f1 == 0:
-            # No singletons: the sample looks complete and Equation 9
-            # evaluates to zero regardless of the skew correction.
-            delta = 0.0
-            count_estimate = float(c)
-            value_estimate = 0.0
-        elif n - f1 == 0:
-            # Every observed entity is a singleton: zero coverage, the
-            # estimate diverges exactly like the Chao92 count it builds on.
-            delta = float("inf") if singleton_sum > 0 else float("-inf") if singleton_sum < 0 else 0.0
-            count_estimate = float("inf")
-            value_estimate = singleton_sum / f1
-        else:
-            delta = singleton_sum * (c + gamma_sq * n) / (n - f1)
-            count_estimate = c + f1 * (c + gamma_sq * n) / (n - f1)
-            value_estimate = singleton_sum / f1
-
+        delta, count_estimate, value_estimate = self._formula(stats, observed_sum, singleton_sum)
         return self._assemble_estimate(
             stats,
             observed_sum,
-            delta=delta,
-            count_estimate=count_estimate,
-            value_estimate=value_estimate,
+            delta=float(delta),
+            count_estimate=float(count_estimate),
+            value_estimate=float(value_estimate),
             details={
                 "singleton_sum": singleton_sum,
-                "singleton_count": f1,
-                "gamma_squared_used": gamma_sq,
+                "singleton_count": stats.singletons,
+                "gamma_squared_used": 0.0 if self.assume_uniform else stats.cv_squared(),
             },
+        )
+
+    def _formula(self, stats, observed_sum, singleton_sum):
+        """``(Δ̂, N̂, singleton mean)`` elementwise, for one sample or every split.
+
+        ``stats`` is a :class:`FrequencyStatistics` or the bucket split
+        scan's array counterpart; ``Δ̂`` is monotone in ``singleton_sum``.
+        """
+        n, c, f1 = stats.n, stats.c, np.asarray(stats.singletons)
+        gamma_sq = 0.0 if self.assume_uniform else stats.cv_squared()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            skewed, covered = c + gamma_sq * n, n - f1
+            delta = singleton_sum * skewed / covered
+            count_estimate = c + f1 * skewed / covered
+            value_estimate = singleton_sum / f1
+        # No singletons: the sample looks complete and Equation 9 is zero.
+        # All singletons: zero coverage, Δ̂ diverges like the Chao92 count.
+        diverged = np.where(singleton_sum > 0, np.inf, np.where(singleton_sum < 0, -np.inf, 0.0))
+        complete = f1 == 0
+        return (
+            np.where(complete, 0.0, np.where(covered == 0, diverged, delta)),
+            np.where(complete, c, np.where(covered == 0, np.inf, count_estimate)),
+            np.where(complete, 0.0, value_estimate),
         )

@@ -7,6 +7,9 @@ quantities used throughout the paper:
 
 * the Good-Turing sample coverage estimate ``Ĉ = 1 − f₁/n`` (Equation 4),
 * the estimated squared coefficient of variation ``γ̂²`` (Equation 6).
+
+Both are also module functions over scalars or NumPy arrays alike (the
+dynamic bucket split scan evaluates them for all candidate splits at once).
 """
 
 from __future__ import annotations
@@ -17,6 +20,19 @@ import numpy as np
 
 from repro.data.sample import ObservedSample
 from repro.utils.exceptions import InsufficientDataError, ValidationError
+
+
+def coverage_estimate(n, f1):
+    """``Ĉ = 1 − f₁/n`` (Eq. 4), elementwise."""
+    return 1.0 - np.asarray(f1) / np.asarray(n)
+
+
+def cv_squared_estimate(n, c, f1, moment):
+    """``γ̂²`` (Eq. 6) given ``moment = Σ j(j−1)·f_j``, elementwise."""
+    n, coverage = np.asarray(n), coverage_estimate(n, f1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma_sq = (np.asarray(c) / coverage) * np.asarray(moment) / (n * (n - 1)) - 1.0
+    return np.where((n < 2) | (coverage <= 0), 0.0, np.maximum(gamma_sq, 0.0))
 
 
 class FrequencyStatistics:
@@ -51,6 +67,11 @@ class FrequencyStatistics:
         self._n = sum(j * fj for j, fj in self._frequencies.items())
         self._c = sum(self._frequencies.values())
         self._max_occurrences = max(self._frequencies)
+        moment = sum(j * (j - 1) * fj for j, fj in self._frequencies.items())
+        self._coverage = float(coverage_estimate(self._n, self.singletons))
+        self._cv_squared = float(
+            cv_squared_estimate(self._n, self._c, self.singletons, moment)
+        )
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -118,10 +139,7 @@ class FrequencyStatistics:
 
     def sample_coverage(self) -> float:
         """Good-Turing sample coverage estimate ``Ĉ = 1 − f₁ / n`` (Eq. 4)."""
-        n = self.n
-        if n == 0:
-            raise InsufficientDataError("sample coverage undefined for n = 0")
-        return 1.0 - self.singletons / n
+        return self._coverage
 
     def cv_squared(self) -> float:
         """Estimated squared coefficient of variation ``γ̂²`` (Eq. 6).
@@ -132,14 +150,7 @@ class FrequencyStatistics:
         back to its coverage-only form (which itself diverges -- callers
         deal with that).
         """
-        n = self.n
-        c = self.c
-        coverage = self.sample_coverage()
-        if n < 2 or coverage <= 0:
-            return 0.0
-        moment = sum(j * (j - 1) * fj for j, fj in self._frequencies.items())
-        gamma_sq = (c / coverage) * moment / (n * (n - 1)) - 1.0
-        return max(gamma_sq, 0.0)
+        return self._cv_squared
 
     def singleton_ratio(self) -> float:
         """``f₁ / n`` -- the quick "is my data complete?" indicator of §3.2."""

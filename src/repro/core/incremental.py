@@ -220,6 +220,11 @@ class IncrementalSampleState:
             self._singleton_stale = False
         return float(self._singleton_sum)
 
+    def sample(self) -> ObservedSample:
+        """The maintained state as a single-attribute :class:`ObservedSample`."""
+        values = {eid: {self.attribute: self._values[slot]} for eid, slot in self._index.items()}
+        return ObservedSample(self._counts, values, source_sizes=self.source_sizes)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"IncrementalSampleState(attribute={self.attribute!r}, "

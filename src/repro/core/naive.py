@@ -9,12 +9,12 @@ under-estimates because the observed mean is itself biased.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.core.estimator import Estimate, SumEstimator
 from repro.core.fstatistics import FrequencyStatistics
 from repro.core.incremental import IncrementalSampleState, SampleDelta
-from repro.core.species import chao92_estimate
+from repro.core.species import chao92_count
 from repro.data.sample import ObservedSample
 
 
@@ -43,11 +43,6 @@ class NaiveEstimator(SumEstimator):
     # Incremental seam
     # ------------------------------------------------------------------ #
 
-    def begin(self, sample: ObservedSample, attribute: str) -> IncrementalSampleState:
-        """Open an incremental handle positioned at ``sample``."""
-        self._check_attribute(sample, attribute)
-        return IncrementalSampleState(sample, attribute)
-
     def update(
         self, handle: IncrementalSampleState, delta: "SampleDelta | None" = None
     ) -> Estimate:
@@ -61,17 +56,30 @@ class NaiveEstimator(SumEstimator):
     # ------------------------------------------------------------------ #
 
     def _estimate_from(self, stats: FrequencyStatistics, observed_sum: float) -> Estimate:
-        richness = chao92_estimate(stats)
-        mean_value = observed_sum / stats.c
-        if math.isinf(richness.n_hat):
-            delta = float("inf") if observed_sum > 0 else float("-inf") if observed_sum < 0 else 0.0
-        else:
-            delta = mean_value * (richness.n_hat - stats.c)
+        delta, count_estimate, mean_value = self._formula(stats, observed_sum)
         return self._assemble_estimate(
             stats,
             observed_sum,
-            delta=delta,
-            count_estimate=richness.n_hat,
-            value_estimate=mean_value,
-            details={"chao92_coverage": richness.coverage, "chao92_cv_squared": richness.cv_squared},
+            delta=float(delta),
+            count_estimate=float(count_estimate),
+            value_estimate=float(mean_value),
+            details={
+                "chao92_coverage": stats.sample_coverage(),
+                "chao92_cv_squared": stats.cv_squared(),
+            },
         )
+
+    @staticmethod
+    def _formula(stats, observed_sum, singleton_sum=None):
+        """``(Δ̂, N̂, mean value)`` elementwise, for one sample or every split.
+
+        ``stats`` is a :class:`FrequencyStatistics` or the bucket split
+        scan's array counterpart; ``Δ̂`` is monotone in ``observed_sum``.
+        """
+        c = np.asarray(stats.c)
+        n_hat = chao92_count(stats.n, c, stats.sample_coverage(), stats.cv_squared())
+        mean_value = observed_sum / c
+        with np.errstate(invalid="ignore"):  # inf · 0 where N̂ diverges
+            delta = mean_value * (n_hat - c)
+        diverged = np.where(observed_sum > 0, np.inf, np.where(observed_sum < 0, -np.inf, 0.0))
+        return np.where(np.isinf(n_hat), diverged, delta), n_hat, mean_value

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.fstatistics import FrequencyStatistics
 from repro.data.sample import ObservedSample
 from repro.utils.exceptions import ValidationError
@@ -82,14 +84,18 @@ def chao92_estimate(
     stats = _as_stats(stats_or_sample)
     coverage = stats.sample_coverage()
     cv_sq = stats.cv_squared()
-    if coverage <= 0:
-        return SpeciesRichnessEstimate(
-            n_hat=float("inf"), coverage=coverage, cv_squared=cv_sq, method="chao92"
-        )
-    n_hat = stats.c / coverage + stats.n * (1.0 - coverage) / coverage * cv_sq
+    n_hat = float(chao92_count(stats.n, stats.c, coverage, cv_sq))
     return SpeciesRichnessEstimate(
-        n_hat=float(n_hat), coverage=coverage, cv_squared=cv_sq, method="chao92"
+        n_hat=n_hat, coverage=coverage, cv_squared=cv_sq, method="chao92"
     )
+
+
+def chao92_count(n, c, coverage, cv_squared):
+    """Equation 7's ``N̂``, elementwise; ``inf`` where the coverage is zero."""
+    coverage = np.asarray(coverage)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_hat = np.asarray(c) / coverage + np.asarray(n) * (1.0 - coverage) / coverage * cv_squared
+    return np.where(coverage <= 0, np.inf, n_hat)
 
 
 def chao84_estimate(

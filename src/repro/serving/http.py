@@ -420,7 +420,8 @@ class _Handler(BaseHTTPRequestHandler):
         version hit).  Versions may coalesce under write pressure: only
         the latest state is pushed, ``id`` values are strictly
         increasing, and a reconnecting client resumes with
-        ``?from_version=<last id + 1>``.
+        ``?from_version=<last id + 1>``.  A ``: attached`` comment opens the
+        stream once the subscriber is registered.
         """
         served = self.server.registry.get(parts[1])
         self._validated_query(
@@ -447,18 +448,11 @@ class _Handler(BaseHTTPRequestHandler):
         ) / 1000.0
         deadline = time.monotonic() + timeout if timeout is not None else None
 
-        if from_version is not None and from_version > served.state_version:
-            # Resuming ahead of the current state: park until it arrives
-            # (or the stream deadline passes) before sending headers, so
-            # validation errors can still surface as clean 4xx responses.
-            first_wait = heartbeat if deadline is None else min(
-                heartbeat, max(0.0, deadline - time.monotonic())
-            )
-            served.wait_for_version(from_version, first_wait)
-
         # Compute the first (version, payload) pair *before* the stream
         # headers go out: a bad spec / attribute / mode fails the request
-        # with a regular JSON error instead of dying mid-stream.
+        # with a regular JSON error instead of dying mid-stream.  When
+        # resuming ahead of the current state this pair is not pushed;
+        # the loop below waits for ``from_version`` first.
         version, payload = served.estimate_payload_at(
             spec, attribute, timeout=timeout, mode=mode
         )
@@ -476,6 +470,11 @@ class _Handler(BaseHTTPRequestHandler):
         pushed = 0
         last = None
         try:
+            # The subscriber is registered and its first state is read:
+            # every later commit shows up in a later push.  Clients that
+            # must not race their own writes wait for this frame.
+            self.wfile.write(b": attached\n\n")
+            self.wfile.flush()
             while True:
                 if from_version is None or version >= from_version:
                     if last is None or version > last:

@@ -23,7 +23,7 @@ import urllib.request
 import pytest
 
 from serving_helpers import SIX_ROWS, make_observations
-from repro.serving.registry import SessionRegistry
+from repro.serving.registry import ServedSession, SessionRegistry
 from repro.serving.http import dumps_result, make_server
 from repro.serving.versions import VersionGate
 
@@ -173,13 +173,18 @@ def ingest(server, rows, name="s"):
     return json.loads(body)
 
 
-def read_sse_events(response, events, done):
-    """Collect (id, body_bytes) pairs until the stream ends."""
+def read_sse_events(response, events, done, attached=None):
+    """Collect (id, body_bytes) pairs until the stream ends.
+
+    ``attached`` (an Event) is set when the ``: attached`` comment arrives.
+    """
     try:
         event_id, data = None, []
         for raw in response:
             line = raw.decode("utf-8").rstrip("\n")
-            if line.startswith("id: "):
+            if line == ": attached" and attached is not None:
+                attached.set()
+            elif line.startswith("id: "):
                 event_id = int(line[4:])
             elif line.startswith("data: "):
                 data.append(line[6:])
@@ -192,12 +197,12 @@ def read_sse_events(response, events, done):
         done.set()
 
 
-def open_subscription(server, path, events, done):
+def open_subscription(server, path, events, done, attached=None):
     request = urllib.request.Request(base_url(server) + path)
     response = urllib.request.urlopen(request, timeout=60)
     assert response.headers["Content-Type"].startswith("text/event-stream")
     thread = threading.Thread(
-        target=read_sse_events, args=(response, events, done), daemon=True
+        target=read_sse_events, args=(response, events, done, attached), daemon=True
     )
     thread.start()
     return response, thread
@@ -334,6 +339,58 @@ class TestSubscribe:
         ingest(server, SIX_ROWS[4:])
         done.wait(timeout=10)
         assert [event_id for event_id, _ in events] == [3]
+
+    def test_resume_ahead_is_attached_before_the_version_arrives(self, server):
+        create_session(server)
+        ingest(server, SIX_ROWS[:2])
+        events, done, attached = [], threading.Event(), threading.Event()
+        # Resuming ahead of the current version: the stream must open and
+        # announce itself at once, not park until the version arrives.
+        open_subscription(
+            server,
+            "/sessions/s/subscribe?from_version=2&max_events=1&heartbeat_ms=30000",
+            events,
+            done,
+            attached,
+        )
+        assert attached.wait(timeout=10)
+        assert events == []
+        ingest(server, SIX_ROWS[2:4])
+        assert done.wait(timeout=10)
+        assert [event_id for event_id, _ in events] == [2]
+
+    def test_slow_subscriber_misses_no_write_made_after_attach(self, server, monkeypatch):
+        # The resume step of the crash-reconcile protocol with the
+        # subscriber thread slowed down on every state read: a write sent
+        # as soon as the request is out would commit before the first
+        # read and merge two versions into one event.  Writes made after
+        # ": attached" each get their own event.
+        create_session(server)
+        ingest(server, SIX_ROWS[:2])
+        ingest(server, SIX_ROWS[2:4])
+        read_state = ServedSession.estimate_payload_at
+
+        def slow_read_state(self, *args, **kwargs):
+            time.sleep(0.5)
+            return read_state(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServedSession, "estimate_payload_at", slow_read_state)
+        events, done, attached = [], threading.Event(), threading.Event()
+
+        def run():
+            open_subscription(
+                server,
+                "/sessions/s/subscribe?from_version=2&max_events=2&heartbeat_ms=200",
+                events,
+                done,
+                attached,
+            )
+
+        threading.Thread(target=run, daemon=True).start()
+        assert attached.wait(timeout=10)
+        ingest(server, SIX_ROWS[4:])
+        assert done.wait(timeout=10)
+        assert [event_id for event_id, _ in events] == [2, 3]
 
     def test_delta_mode_stream_matches_batch_oracle(self, server):
         create_session(server)

@@ -27,8 +27,13 @@ from repro.api.session import OpenWorldSession
 from repro.serving.http import dumps_result
 
 
-def subscribe(server, path, events, done):
-    """Read SSE events until the stream (or the server) dies."""
+def subscribe(server, path, events, done, attached=None):
+    """Read SSE events until the stream (or the server) dies.
+
+    ``attached`` is set on the ``: attached`` comment: the server has
+    registered the subscriber and read its first state, so a commit the
+    client makes from then on reaches the stream.
+    """
 
     def run():
         try:
@@ -37,7 +42,9 @@ def subscribe(server, path, events, done):
                 event_id, data = None, []
                 for raw in response:
                     line = raw.decode("utf-8").rstrip("\n")
-                    if line.startswith("id: "):
+                    if line == ": attached" and attached is not None:
+                        attached.set()
+                    elif line.startswith("id: "):
                         event_id = int(line[4:])
                     elif line.startswith("data: "):
                         data.append(line[6:])
@@ -109,15 +116,20 @@ def test_sigkill_mid_subscription_resumes_gapless(tmp_path):
         assert version >= 1
         resume_from = events[-1][0] + 1
         resumed, resumed_done = [], threading.Event()
+        resumed_attached = threading.Event()
         subscribe(
             server,
             f"/sessions/s/subscribe?from_version={resume_from}"
             "&max_events=2&heartbeat_ms=200",
             resumed,
             resumed_done,
+            resumed_attached,
         )
         # Resend everything past the recovered version, exactly as a
-        # retrying ingest client would.
+        # retrying ingest client would -- once the resumed stream is
+        # attached, so the resends cannot commit before it reads its first
+        # state (SSE would then merge their versions into one event).
+        assert resumed_attached.wait(timeout=30)
         for chunk in CHUNKS[version:]:
             status, _ = server.request(
                 "POST", "/sessions/s/ingest", {"observations": observation_bodies(chunk)}
