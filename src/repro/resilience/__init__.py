@@ -3,9 +3,10 @@
 The layer that lets :mod:`repro.serving` survive *ungraceful* death and
 *overload*, not just SIGTERM:
 
-* :mod:`repro.resilience.wal` -- the per-session write-ahead ingest log
-  (length-prefixed, CRC32-framed records; configurable fsync policy;
-  torn-tail recovery), appended *before* session state mutates so
+* :mod:`repro.resilience.wal` -- the durable append log shared by the
+  write-ahead ingest log and the disk store's segment and name logs
+  (CRC32-framed records; configurable fsync policy; torn-tail
+  recovery).  The WAL is appended *before* session state mutates, so
   restart = snapshot + WAL-tail replay is bit-identical to a run that
   never crashed;
 * :mod:`repro.resilience.faults` -- deterministic fault injection:

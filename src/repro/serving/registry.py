@@ -69,8 +69,12 @@ from typing import Any
 from repro.api.session import OpenWorldSession
 from repro.data.records import Observation
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import fault_point
-from repro.resilience.wal import WalCorruptionError, WriteAheadLog
+from repro.resilience.wal import (
+    WalCorruptionError,
+    WriteAheadLog,
+    fsync_directory,
+    write_atomic,
+)
 from repro.serving.batcher import CoalescingBatcher
 from repro.serving.cache import DEFAULT_CACHE_ENTRIES, EstimateCache, request_key
 from repro.serving.locks import RWLock
@@ -1114,14 +1118,8 @@ class SessionRegistry:
                 shutil.rmtree(self.store_path(name), ignore_errors=True)
 
     def _write_tombstone(self, name: str) -> None:
-        sessions_dir = self._sessions_dir()
-        sessions_dir.mkdir(parents=True, exist_ok=True)
-        path = self._tombstone_path(name)
-        with open(path, "wb") as handle:
-            handle.write(b"{}\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._fsync_directory(sessions_dir)
+        self._sessions_dir().mkdir(parents=True, exist_ok=True)
+        write_atomic(self._tombstone_path(name), b"{}\n")
 
     def names(self) -> list[str]:
         """Registered session names, sorted."""
@@ -1228,21 +1226,15 @@ class SessionRegistry:
         # moment any per-session file supersedes it, so drop it.
         if legacy.exists():
             legacy.unlink()
-            self._fsync_directory(directory)
+            fsync_directory(directory)
         self._purge_orphan_wals(directory)
         self._purge_dead_state(directory)
         return sessions_dir
 
     @staticmethod
     def _write_checkpoint_file(path: Path, payload: "dict[str, Any]") -> None:
-        scratch = path.with_suffix(path.suffix + ".tmp")
-        with open(scratch, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        fault_point("registry.before_replace")
-        os.replace(scratch, path)
-        SessionRegistry._fsync_directory(path.parent)
+        raw = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        write_atomic(path, raw.encode("utf-8"), fault="registry.before_replace")
 
     def _purge_dead_state(self, directory: Path) -> None:
         """Clean up leftovers of deleted sessions (idempotent, crash-safe).
@@ -1278,17 +1270,6 @@ class SessionRegistry:
         for path in wal_dir.glob("*.wal"):
             if path.stem not in live:
                 path.unlink(missing_ok=True)
-
-    @staticmethod
-    def _fsync_directory(directory: Path) -> None:
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def load_state(
         self, state_dir: "str | os.PathLike[str] | None" = None

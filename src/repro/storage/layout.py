@@ -16,7 +16,8 @@ A disk-backed session lives in one directory::
             counts.u64  values.f64  sources.u64  freq.u64
 
 ``manifest.json`` is the only file replaced in place (scratch + fsync +
-``os.replace`` + directory fsync, the registry's checkpoint idiom) and
+``os.replace`` + directory fsync: :func:`repro.resilience.wal.write_atomic`,
+the same writer as the registry's checkpoint files) and
 records: the session config (attribute, table name, default estimator
 spec, count method), the seeded source sizes, the sealed-segment list
 with per-file (frames, rows, bytes, crc32), and the counters at the
@@ -37,6 +38,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.resilience.wal import write_atomic
 from repro.utils.exceptions import ReproError
 
 __all__ = [
@@ -55,24 +57,9 @@ class StorageError(ReproError):
     """A store directory is malformed beyond what recovery can heal."""
 
 
-def _fsync_directory(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def write_json_atomic(path: Path, payload: "dict[str, Any]") -> None:
-    """Write JSON durably and atomically: scratch + fsync + os.replace."""
-    scratch = path.with_suffix(path.suffix + ".tmp")
-    raw = json.dumps(payload, indent=2, allow_nan=False).encode("utf-8")
-    with open(scratch, "wb") as handle:
-        handle.write(raw)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(scratch, path)
-    _fsync_directory(path.parent)
+    """Write JSON durably and atomically (see :func:`write_atomic`)."""
+    write_atomic(path, json.dumps(payload, indent=2, allow_nan=False).encode("utf-8"))
 
 
 class StoreLayout:

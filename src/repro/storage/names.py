@@ -15,19 +15,20 @@ and sources first appear, exactly the dict order the in-memory
 what makes materializing dicts from the arrays byte-identical to the
 in-memory store.
 
-Names referencing a frame are flushed *before* the frame (write-ahead
-within the store), so every index a durable frame mentions resolves.  A
-crash can leave the opposite: a durable name whose frame never made it.
-Attach heals that by truncating the file back to the entries the
-recovered state actually references.
+Names referencing a frame are flushed *before* the frame and fsynced
+before every fsync of the segment log, so every index a durable frame
+mentions resolves.  A crash can leave the opposite: a durable name whose
+frame never made it.  Attach heals that by truncating the file back to
+the entries the recovered state actually references.  The file is a
+:class:`repro.resilience.wal.AppendLog`, with entries of its own format.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 
+from repro.resilience.wal import AppendLog
 from repro.utils.exceptions import ReproError
 
 __all__ = ["NameCorruptionError", "NameLog"]
@@ -46,14 +47,12 @@ class NameLog:
     """One append-only length-prefixed string file."""
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = None
-
-    def _handle(self):
-        if self._file is None:
-            self._file = open(self.path, "ab")
-        return self._file
+        self._log = AppendLog(path)
+        self.path = self._log.path
+        # Entries an earlier, possibly killed, process wrote may not be
+        # durable yet: count them as pending so the first sync covers them.
+        if self.path.is_file() and self.path.stat().st_size:
+            self._log.unsynced = 1
 
     def append(self, names: "list[str]") -> None:
         """Append entries for ``names`` (flushed to the OS, not fsynced)."""
@@ -64,15 +63,12 @@ class NameLog:
             raw = name.encode("utf-8")
             chunks.append(_LEN.pack(len(raw)))
             chunks.append(raw)
-        handle = self._handle()
-        handle.write(b"".join(chunks))
-        handle.flush()
+        self._log.write(b"".join(chunks))
 
     def sync(self) -> None:
-        """fsync pending appends (called per the store's fsync policy)."""
-        if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+        """fsync pending appends, whatever the store's fsync policy."""
+        if self._log.unsynced:
+            self._log.fsync()
 
     def read_all(self) -> "tuple[list[str], int]":
         """Decode every clean entry; returns (names, clean_offset).
@@ -110,19 +106,8 @@ class NameLog:
         byte offset is recomputed from the kept prefix.  Used by attach
         to drop names whose referencing frame never became durable.
         """
-        self._close_handle()
         offset = sum(_LEN.size + len(name.encode("utf-8")) for name in names[:keep])
-        with open(self.path, "r+b") as handle:
-            handle.truncate(offset)
-            os.fsync(handle.fileno())
+        self._log.truncate(offset)
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-        self._close_handle()
-
-    def _close_handle(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        self._log.close()

@@ -1,11 +1,10 @@
 """The append-only columnar segment log: CRC-framed observation chunks.
 
 One ingest chunk becomes one *frame* in the active segment file.  The
-framing reuses the write-ahead log's discipline (`repro.resilience.wal`)
--- an 8-byte big-endian ``(length, crc32)`` header in front of every
-payload, so recovery can truncate a torn or corrupt tail back to the
-last clean frame boundary -- but the payload is columnar binary instead
-of JSON::
+segment log is a :class:`repro.resilience.wal.AppendLog` -- the same
+``(length, crc32)`` framing, payload bound, fsync policy and torn-tail
+recovery as the write-ahead log -- whose payload is columnar binary
+instead of JSON::
 
     +--------------------------+------------------------------------+
     | length: u32 big-endian   |  kind:          u8                 |
@@ -25,15 +24,15 @@ payload after the fixed header is compact JSON (an aggregate baseline
 adopted via ``from_sample``/``restore``, which has no per-observation
 stream to log).  Entity/source ids are indices into the append-only
 name dictionaries (:mod:`repro.storage.names`), which are flushed
-*before* the frame that references them.
+*before* the frame that references them and fsynced before every fsync
+of the segment log (its ``sync_first`` logs).
 
-Durability: the active segment follows the same ``always`` / ``batch``
-/ ``never`` fsync policies as the WAL.  Sealing (checkpoint) fsyncs the
-active file, renames it to ``seg-<index>.seg`` (immutable from then
-on), fsyncs the directory, and hands the sealed entry to the manifest.
-The ``storage.before_seal`` / ``storage.after_seal`` fault points
-bracket the rename; ``storage.after_frame`` fires after a frame is
-flushed but before the invariant arrays absorb it.
+Sealing (checkpoint) fsyncs the active file, renames it to
+``seg-<index>.seg`` (immutable from then on), fsyncs the directory, and
+hands the sealed entry to the manifest.  The ``storage.before_seal`` /
+``storage.after_seal`` fault points bracket the rename;
+``storage.after_frame`` fires after a frame is flushed but before the
+invariant arrays absorb it.
 """
 
 from __future__ import annotations
@@ -49,8 +48,14 @@ from typing import Any
 import numpy as np
 
 from repro.resilience.faults import fault_point
-from repro.resilience.wal import DEFAULT_BATCH_EVERY, FSYNC_POLICIES
-from repro.utils.exceptions import ReproError, ValidationError
+from repro.resilience.wal import (
+    DEFAULT_BATCH_EVERY,
+    AppendLog,
+    frame_payload,
+    fsync_directory,
+    scan,
+)
+from repro.utils.exceptions import ReproError
 
 __all__ = [
     "FRAME_OBSERVATIONS",
@@ -65,17 +70,11 @@ __all__ = [
     "segment_name",
 ]
 
-_HEADER = struct.Struct(">II")  # (payload length, payload crc32) -- as in wal.py
 _FRAME_META = struct.Struct(">BQI")  # (kind, state_version, n_rows)
 
 #: Frame kinds.
 FRAME_OBSERVATIONS = 0
 FRAME_SEED = 1
-
-#: Refuse to parse absurd lengths (a corrupt header must not allocate
-#: gigabytes).  Frames are one ingest chunk; 256 MiB is far beyond any
-#: real chunk while still bounding the damage of a garbage header.
-_MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Fixed-width little-endian column dtypes of an observation frame.
 _DT_ENTITY = np.dtype("<u4")
@@ -139,14 +138,13 @@ def encode_frame(
             np.ascontiguousarray(flags, dtype=_DT_FLAGS).tobytes(),
         )
     )
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return frame_payload(payload)
 
 
 def encode_seed_frame(state_version: int, seed: "dict[str, Any]") -> bytes:
     """Encode an aggregate-baseline seed frame (compact JSON payload)."""
     body = json.dumps(seed, separators=(",", ":"), allow_nan=False).encode("utf-8")
-    payload = _FRAME_META.pack(FRAME_SEED, state_version, 0) + body
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return frame_payload(_FRAME_META.pack(FRAME_SEED, state_version, 0) + body)
 
 
 _EMPTY_U4 = np.empty(0, dtype=_DT_ENTITY)
@@ -193,32 +191,8 @@ def _decode_payload(payload: bytes) -> "Frame | None":
 
 
 def scan_frames(raw: bytes) -> "tuple[list[Frame], int]":
-    """Parse framed records from ``raw``; returns (frames, clean_offset).
-
-    Mirrors :func:`repro.resilience.wal.scan_records`: ``clean_offset``
-    is the byte offset just past the last frame that parsed *and* passed
-    its CRC -- everything beyond it is a torn or corrupt tail.
-    """
-    frames: list[Frame] = []
-    offset = 0
-    total = len(raw)
-    while offset + _HEADER.size <= total:
-        length, crc = _HEADER.unpack_from(raw, offset)
-        if length > _MAX_FRAME_BYTES:
-            break  # corrupt header: treat as tail
-        start = offset + _HEADER.size
-        end = start + length
-        if end > total:
-            break  # torn payload
-        payload = raw[start:end]
-        if zlib.crc32(payload) != crc:
-            break  # corrupt payload
-        frame = _decode_payload(payload)
-        if frame is None:
-            break  # CRC collision on garbage; vanishingly unlikely
-        frames.append(frame)
-        offset = end
-    return frames, offset
+    """Parse frames from ``raw``; see :func:`repro.resilience.wal.scan`."""
+    return scan(raw, _decode_payload)
 
 
 def read_frames(path: "str | os.PathLike[str]", *, sealed: bool = False) -> list[Frame]:
@@ -248,7 +222,8 @@ class SegmentLog:
     """The active (appendable) segment plus the seal operation.
 
     Not thread-safe: callers serialize appends (the disk store appends
-    under the session's exclusive write lock, same as the WAL).
+    under the session's exclusive write lock, same as the WAL).  Every
+    fsync of the active segment first syncs the ``sync_first`` logs.
     """
 
     ACTIVE_NAME = "active.seg"
@@ -259,21 +234,16 @@ class SegmentLog:
         *,
         fsync: str = "batch",
         batch_every: int = DEFAULT_BATCH_EVERY,
+        sync_first: "tuple[Any, ...]" = (),
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValidationError(
-                f"unknown fsync policy {fsync!r}; expected one of "
-                f"{', '.join(FSYNC_POLICIES)}"
-            )
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync_policy = fsync
-        self.batch_every = int(batch_every)
         self.active_path = self.directory / self.ACTIVE_NAME
-        self._file: "Any | None" = None
-        self._appends = 0
-        self._syncs = 0
-        self._unsynced = 0
+        self._log = AppendLog(
+            self.active_path,
+            fsync=fsync,
+            batch_every=batch_every,
+            sync_first=sync_first,
+        )
         # Running shape of the active segment, maintained across appends
         # so sealing can record (rows, bytes, crc) without re-reading.
         self._active_rows = 0
@@ -285,11 +255,6 @@ class SegmentLog:
     # Appending
     # ------------------------------------------------------------------ #
 
-    def _handle(self):
-        if self._file is None:
-            self._file = open(self.active_path, "ab")
-        return self._file
-
     def append(self, frame_bytes: bytes, n_rows: int, *, sync: "bool | None" = None) -> None:
         """Append one encoded frame; flushed to the OS unconditionally.
 
@@ -298,32 +263,17 @@ class SegmentLog:
         as for the WAL.  ``storage.after_frame`` fires once the frame is
         out of user space but before the invariant arrays absorb it.
         """
-        handle = self._handle()
-        handle.write(frame_bytes)
-        handle.flush()
-        self._appends += 1
-        self._unsynced += 1
+        self._log.write(frame_bytes)
         self._active_rows += int(n_rows)
         self._active_frames += 1
         self._active_crc = zlib.crc32(frame_bytes, self._active_crc)
         self._active_bytes += len(frame_bytes)
         fault_point("storage.after_frame")
-        if sync is None:
-            sync = self.fsync_policy == "always" or (
-                self.fsync_policy == "batch" and self._unsynced >= self.batch_every
-            )
-        if sync and self.fsync_policy != "never":
-            os.fsync(handle.fileno())
-            self._syncs += 1
-            self._unsynced = 0
+        self._log.sync(sync)
 
     def sync(self) -> None:
         """Flush and fsync whatever has been appended so far."""
-        if self._file is not None and self.fsync_policy != "never":
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self._syncs += 1
-            self._unsynced = 0
+        self._log.sync()
 
     # ------------------------------------------------------------------ #
     # Recovery and sealing
@@ -333,24 +283,14 @@ class SegmentLog:
         """Read the active segment, truncating any torn/corrupt tail.
 
         Must run before :meth:`append` on a directory that may have been
-        written by a crashed process, for the same reason as WAL
-        recovery: appending after a torn tail would bury the corruption
-        mid-file.  Rebuilds the running (rows, crc, bytes) counters.
+        written by a crashed process.  Rebuilds the running (rows, crc,
+        bytes) counters.
         """
-        self._close_handle()
-        try:
-            raw = self.active_path.read_bytes()
-        except FileNotFoundError:
-            raw = b""
-        frames, clean_offset = scan_frames(raw)
-        if clean_offset < len(raw):
-            with open(self.active_path, "r+b") as handle:
-                handle.truncate(clean_offset)
-                os.fsync(handle.fileno())
+        frames, clean = self._log.recover(_decode_payload)
         self._active_rows = sum(f.n_rows for f in frames)
         self._active_frames = len(frames)
-        self._active_crc = zlib.crc32(raw[:clean_offset])
-        self._active_bytes = clean_offset
+        self._active_crc = zlib.crc32(clean)
+        self._active_bytes = len(clean)
         return frames
 
     def seal(self, index: int) -> "dict[str, Any] | None":
@@ -364,14 +304,12 @@ class SegmentLog:
         """
         if self._active_frames == 0:
             return None
-        handle = self._handle()
-        handle.flush()
-        os.fsync(handle.fileno())
-        self._close_handle()
+        self._log.fsync()
+        self._log.close(fsync=False)
         fault_point("storage.before_seal")
         sealed_path = self.directory / segment_name(index)
         os.rename(self.active_path, sealed_path)
-        self._fsync_directory()
+        fsync_directory(self.directory)
         fault_point("storage.after_seal")
         entry = {
             "segment": sealed_path.name,
@@ -384,31 +322,15 @@ class SegmentLog:
         self._active_frames = 0
         self._active_crc = 0
         self._active_bytes = 0
-        self._unsynced = 0
         return entry
 
     def sealed_segments(self) -> list[Path]:
         """Every sealed segment in the directory, in index order."""
         return sorted(self.directory.glob("seg-*.seg"))
 
-    def _fsync_directory(self) -> None:
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
     def close(self) -> None:
         """Flush, fsync (unless policy is "never") and close the handle."""
-        if self._file is not None and self.fsync_policy != "never":
-            self._file.flush()
-            os.fsync(self._file.fileno())
-        self._close_handle()
-
-    def _close_handle(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        self._log.close()
 
     @property
     def active_rows(self) -> int:
@@ -418,11 +340,9 @@ class SegmentLog:
     def stats(self) -> "dict[str, Any]":
         """Counters for ``/stats``: appends, fsyncs, active-segment shape."""
         return {
-            "appends": self._appends,
-            "syncs": self._syncs,
-            "unsynced": self._unsynced,
+            **self._log.counters(),
             "active_frames": self._active_frames,
             "active_rows": self._active_rows,
             "active_bytes": self._active_bytes,
-            "fsync_policy": self.fsync_policy,
+            "fsync_policy": self._log.fsync_policy,
         }

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+import zlib
 from typing import Any
 
 import numpy as np
@@ -170,12 +171,16 @@ class DiskStore:
         self._layout = StoreLayout(directory)
         self._layout.create_directories()
         self.fsync_policy = fsync
-        self._segments = SegmentLog(
-            self._layout.segments_dir, fsync=fsync, batch_every=batch_every
-        )
-        self._invariants = InvariantStore(self._layout.invariants_dir)
         self._entities_log = NameLog(self._layout.entities_path)
         self._sources_log = NameLog(self._layout.sources_path)
+        # Every fsync of a frame first fsyncs the names it may reference.
+        self._segments = SegmentLog(
+            self._layout.segments_dir,
+            fsync=fsync,
+            batch_every=batch_every,
+            sync_first=(self._entities_log, self._sources_log),
+        )
+        self._invariants = InvariantStore(self._layout.invariants_dir)
 
         self._config: "dict[str, Any] | None" = None
         self._seed_sizes: "tuple[int, ...]" = ()
@@ -222,15 +227,15 @@ class DiskStore:
             # Sealed before the manifest write could record it (a crash
             # in the storage.after_seal window): adopt it.
             frames = read_frames(path, sealed=True)
-            raw_size = path.stat().st_size
+            raw = path.read_bytes()
             orphan_frames.extend(frames)
             self._sealed_entries.append(
                 {
                     "segment": path.name,
                     "frames": len(frames),
                     "rows": sum(f.n_rows for f in frames),
-                    "bytes": raw_size,
-                    "crc": _file_crc(path),
+                    "bytes": len(raw),
+                    "crc": zlib.crc32(raw),
                 }
             )
             self._manifest_dirty = True
@@ -825,9 +830,8 @@ class DiskStore:
                 return self.seal()
             return False
         self._materialize()  # applies any recovered tail to the arrays
-        self._entities_log.sync()
-        self._sources_log.sync()
         self._invariants.sync()
+        # Sealing fsyncs the active segment, and with it the name logs.
         entry = self._segments.seal(self._next_segment_index())
         if entry is not None:
             self._sealed_entries.append(entry)
@@ -894,9 +898,9 @@ class DiskStore:
         self._invariants.sync()
 
     def close(self) -> None:
-        self._segments.close()
         self._entities_log.close()
         self._sources_log.close()
+        self._segments.close()
         self._invariants.close()
 
     def stats(self) -> "dict[str, Any]":
@@ -920,18 +924,6 @@ def _max_referenced(state_count: int, frames: "list[Frame]", column: str) -> int
         if array.shape[0]:
             referenced = max(referenced, int(array.max()) + 1)
     return referenced
-
-
-def _file_crc(path) -> int:
-    import zlib
-
-    crc = 0
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(1 << 20)
-            if not block:
-                return crc
-            crc = zlib.crc32(block, crc)
 
 
 def open_store(

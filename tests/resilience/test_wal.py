@@ -201,3 +201,29 @@ def test_stats_surface(tmp_path):
     assert stats["appends"] == 1
     assert stats["bytes"] == log.tell()
     log.close()
+
+
+def test_every_acknowledged_record_survives_recovery(tmp_path, monkeypatch):
+    # The writer and the recovery scan share one payload bound, shrunk
+    # here so a "large" record is cheap to build.  A record beyond it
+    # must be refused before any byte is written: were it written, the
+    # scan would stop at it and truncate it together with every record
+    # acknowledged after it.
+    from repro.resilience import wal as wal_module
+
+    monkeypatch.setattr(wal_module, "_MAX_RECORD_BYTES", 1024)
+    big = {"op": "create", "snapshot": {"padding": "x" * 2048}}
+    log = WriteAheadLog(tmp_path / "big.wal", fsync="never")
+    acknowledged = []
+    for record in (RECORDS[0], big, RECORDS[1]):
+        try:
+            log.append(record)
+        except ValidationError:
+            continue
+        acknowledged.append(record)
+    log.close()
+    assert WriteAheadLog(tmp_path / "big.wal").recover() == acknowledged
+    assert big not in acknowledged
+    with pytest.raises(ValidationError, match="bound"):
+        log.rewrite([big])
+    assert read_records(log.path) == acknowledged

@@ -203,3 +203,8 @@ class TestSegmentLog:
     def test_unknown_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown fsync policy"):
             SegmentLog(tmp_path, fsync="sometimes")
+
+    def test_bad_batch_every_rejected(self, tmp_path):
+        # Same validation as the write-ahead log: 0 is not "every append".
+        with pytest.raises(ValidationError, match="batch_every"):
+            SegmentLog(tmp_path, fsync="batch", batch_every=0)

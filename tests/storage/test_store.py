@@ -305,3 +305,78 @@ class TestConfigBinding:
             open_store("disk")
         with pytest.raises(StorageError, match="unknown store kind"):
             open_store("tape")
+
+
+class TestFsyncOrder:
+    """Under "batch" a frame becomes power-loss durable at the segment
+    log's periodic fsync; every name it references must be durable by
+    then, or a restart after power loss finds a durable frame pointing
+    past the durable names."""
+
+    @staticmethod
+    def record_fsyncs(monkeypatch, directory):
+        """Record each fsync: the file it hit, that file's size, and the
+        sizes of both name logs at the time."""
+        names = [directory / "names" / "entities.dat", directory / "names" / "sources.dat"]
+        events = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            sizes = {path: path.stat().st_size if path.exists() else 0 for path in names}
+            events.append(((info.st_dev, info.st_ino), info.st_size, sizes))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        return names, events
+
+    @staticmethod
+    def assert_names_durable_at_each_segment_fsync(directory, names, events):
+        def key(path):
+            info = path.stat()
+            return (info.st_dev, info.st_ino)
+
+        segment = key(directory / "segments" / "active.seg")
+        by_key = {key(path): path for path in names}
+        durable = {path: 0 for path in names}
+        segment_fsyncs = 0
+        for file_key, size, sizes in events:
+            if file_key in by_key:
+                durable[by_key[file_key]] = size
+            elif file_key == segment:
+                segment_fsyncs += 1
+                assert durable == sizes
+        return segment_fsyncs
+
+    def test_names_are_durable_before_every_segment_fsync(self, tmp_path, monkeypatch):
+        directory = tmp_path / "store"
+        names, events = self.record_fsyncs(monkeypatch, directory)
+        session = OpenWorldSession(
+            ATTRIBUTE,
+            estimator=ESTIMATOR,
+            store=DiskStore(directory, fsync="batch", batch_every=2),
+        )
+        for chunk in CHUNKS:  # every chunk introduces new names
+            session.ingest(observations(chunk))
+        session.close()
+        fsyncs = self.assert_names_durable_at_each_segment_fsync(directory, names, events)
+        assert fsyncs >= len(CHUNKS) // 2
+
+    @pytest.mark.filterwarnings("ignore::ResourceWarning")  # the "dead" writer's files
+    def test_names_a_killed_writer_left_are_synced_before_its_frames(
+        self, tmp_path, monkeypatch
+    ):
+        # A killed process leaves its names and frames in the page cache,
+        # unsynced.  The next process's first segment fsync makes those
+        # frames durable, so it must make their names durable first,
+        # even when it appends no new name itself.
+        directory = tmp_path / "store"
+        disk_session(directory, CHUNKS)  # never closed: the process "died"
+        names, events = self.record_fsyncs(monkeypatch, directory)
+        session = OpenWorldSession.attach(
+            DiskStore(directory, fsync="batch", batch_every=1)
+        )
+        session.ingest(observations([("a", "s1", 10.0)]))  # no new name
+        fsyncs = self.assert_names_durable_at_each_segment_fsync(directory, names, events)
+        assert fsyncs >= 1
+        session.close()
